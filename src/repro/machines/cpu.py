@@ -14,7 +14,6 @@ restricted scheduling available under debugging costs 13% on MIPS).
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Optional, Tuple
 
 from .engine import StopSpec, make_engine
@@ -67,24 +66,17 @@ class Cpu:
         #: trap is part of the timeline), so replays that plant and hit
         #: breakpoints stay icount-aligned with runs that do not.
         self.icount = 0
-        # Load-delay simulation (rmips): a pending (reg, value) commit.
+        # Load-delay simulation (rmips): a pending (reg, value) commit,
+        # and the register the current instruction wrote (a write to
+        # the pending register cancels the commit).  Between
+        # instructions _wrote_reg names the last one's register on
+        # rmips and is None on every other target.
         self._pending_load: Optional[Tuple[int, int]] = None
         self._wrote_reg: Optional[int] = None
         #: The execution engine that drives :meth:`run`.  ``engine``
         #: accepts a name ("step", "block"), an engine class, an
         #: instance, or None for the configured default.
         self.engine = make_engine(engine, self)
-
-    _steps_warned = False
-
-    @property
-    def steps(self) -> int:
-        """Deprecated alias for :attr:`icount`; use that instead."""
-        if not Cpu._steps_warned:
-            Cpu._steps_warned = True
-            warnings.warn("Cpu.steps is deprecated; use Cpu.icount",
-                          DeprecationWarning, stacklevel=2)
-        return self.icount
 
     # -- snapshot/restore --------------------------------------------------
 
@@ -151,6 +143,8 @@ class Cpu:
                 reg, value = commit
                 if not (reg == 0 and self.arch.zero_reg):
                     self.regs[reg] = value
+            if not self.arch.has_load_delay:
+                self._wrote_reg = None
 
     def run(self, *, max_steps: Optional[int] = None,
             stop_at_icount: Optional[int] = None,

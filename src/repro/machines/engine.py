@@ -12,16 +12,18 @@ interface:
 * :class:`BlockEngine` — a decoded-basic-block core in the spirit of
   the DiVM bitcode simulator (PAPERS.md): decode from the pc to the
   next control transfer *once*, compile the block into a list of
-  prebuilt execute closures keyed by ``(addr, code-bytes generation)``,
-  and dispatch whole blocks between icount/stop checks.
+  prebuilt execute closures cached by address, and dispatch whole
+  blocks between icount/stop checks.
 
-Both engines must produce byte-identical architectural state: the same
-stops, registers, memory, faults, and icount.  The subtle rules that
-make that true are concentrated in :meth:`BlockEngine._wrap`, which
-replays ``Cpu.step``'s exact prologue/epilogue per instruction — the
-rmips load-delay commit, the faulting-instruction-retires rule, and
-the decode-fault-does-not-retire rule (a decode fault drops the
-pending load and retires nothing; see the zero-step fault blocks).
+Both engines must produce byte-identical state: the same stops,
+registers, memory, faults, icount, and delay-slot bookkeeping.  The
+block engine dispatches most instructions as one bare closure call.
+``Cpu.step``'s rules live where an instruction's position is known:
+:meth:`BlockEngine._compile` wraps only the instructions that can find
+an rmips load pending, may write memory, or may look at ``icount`` and
+``_wrote_reg`` mid-block; :meth:`BlockEngine.run` retires whole blocks
+(a faulting instruction included), converts memory faults, and runs
+the last instruction before a planned stop through ``Cpu.step``.
 
 Cache invalidation: the engine marks every byte it decoded from in a
 per-byte code map and registers a write hook on the target memory.
@@ -29,8 +31,8 @@ Any write that overlaps a decoded byte — PLANT/unplant, POKE,
 BLOCKSTORE, a self-modifying store, or a checkpoint restore rewriting
 a code page — bumps the generation counter and drops every cached
 block, so the next dispatch re-decodes current bytes.  A store that
-lands inside the *currently executing* block is caught by a
-generation check between instructions.
+lands inside the *currently executing* block is caught by the
+generation check its instruction carries.
 """
 
 from __future__ import annotations
@@ -182,12 +184,11 @@ class _Block:
     pending load is dropped, nothing retires, the fault is raised).
     """
 
-    __slots__ = ("gen", "steps", "fault", "start", "size")
+    __slots__ = ("steps", "fault", "start", "size")
 
-    def __init__(self, gen: int, steps: List[Callable],
+    def __init__(self, steps: List[Callable],
                  fault: Optional[Tuple[int, int, int]],
                  start: int, size: int):
-        self.gen = gen
         self.steps = steps
         self.fault = fault
         self.start = start
@@ -208,8 +209,9 @@ class BlockEngine(ExecutionEngine):
         super().__init__(cpu)
         self.arch = cpu.arch
         self.mem = cpu.mem
-        #: bumped on every write into decoded code; blocks compiled
-        #: under an older generation are never dispatched again
+        #: bumped on every write into decoded code, which also empties
+        #: the cache; a running block's writers compare it against
+        #: the generation they were compiled under
         self.generation = 0
         self._blocks: Dict[int, _Block] = {}
         #: per-byte map of decoded code: 1 where some cached block
@@ -254,84 +256,42 @@ class BlockEngine(ExecutionEngine):
 
     # -- compilation ------------------------------------------------------
 
-    def _wrap(self, body: Callable, writer: bool, gen: int) -> Callable:
-        """Fuse ``body`` (the execute work of one instruction) with
-        ``Cpu.step``'s exact prologue/epilogue: pending-load commit,
-        wrote-reg tracking, MemoryFault conversion, and the
-        faulting-instruction-retires rule.
+    def _wrap(self, body: Callable, gen: int, writer: bool, commit: bool,
+              delta: Optional[int]) -> Callable:
+        """``body`` plus what ``Cpu.step`` adds at its place in a block.
 
-        ``writer`` marks instructions that may write target memory
-        (:meth:`Arch.may_write_mem`, or any generic fallback): only
-        those re-check the cache generation, raising
-        :class:`_Invalidated` when their store clobbered decoded code.
-        Keeping that check out of non-writers keeps the dispatch loop
-        a bare closure call per instruction.
+        ``delta`` is set for generic fallbacks and syscalls, which may
+        read ``cpu.icount`` and ``_wrote_reg``.  Mid-block, ``icount``
+        holds the block's start count plus the index of the previous
+        such instruction; adding ``delta`` gives this one's, and
+        ``_wrote_reg`` is cleared, as ``Cpu.step`` shows them.
+        ``commit``: a load may be pending (the block's first
+        instruction, or one right after a load); land it after the
+        body unless the body wrote that register — in a ``finally``,
+        since a faulting instruction still retires.  ``writer``:
+        afterwards, raise :class:`_Invalidated` if a store hit decoded
+        code.
         """
+        engine = self
         zero_reg = self.arch.zero_reg
-        if not self.arch.has_load_delay:
-            # no load delay slot: _pending_load is never set, so the
-            # commit bookkeeping is dead weight — the wrapper is just
-            # fault conversion + the faulting-instruction-retires rule
-            if not writer:
-                def step(cpu):
-                    try:
-                        body(cpu)
-                    except MemoryFault as fault:
-                        raise TargetFault(SIGSEGV, code=2,
-                                          address=fault.address)
-                    finally:
-                        cpu.icount += 1
-                return step
 
-            engine = self
-
-            def step(cpu):
-                try:
-                    body(cpu)
-                except MemoryFault as fault:
-                    raise TargetFault(SIGSEGV, code=2, address=fault.address)
-                finally:
-                    cpu.icount += 1
-                if engine.generation != gen:
-                    raise _Invalidated
-            return step
-
-        if not writer:
-            def step(cpu):
-                commit = cpu._pending_load
-                if commit is not None:
-                    cpu._pending_load = None
+        def step(cpu):
+            if delta is not None:
+                cpu.icount += delta
+                cpu._wrote_reg = None
+            pending = cpu._pending_load if commit else None
+            if pending is None:
+                body(cpu)
+            else:
+                cpu._pending_load = None
                 cpu._wrote_reg = None
                 try:
                     body(cpu)
-                except MemoryFault as fault:
-                    raise TargetFault(SIGSEGV, code=2, address=fault.address)
                 finally:
-                    cpu.icount += 1
-                    if commit is not None and commit[0] != cpu._wrote_reg:
-                        reg, value = commit
-                        if not (reg == 0 and zero_reg):
-                            cpu.regs[reg] = value
-            return step
-
-        engine = self
-
-        def step(cpu):
-            commit = cpu._pending_load
-            if commit is not None:
-                cpu._pending_load = None
-            cpu._wrote_reg = None
-            try:
-                body(cpu)
-            except MemoryFault as fault:
-                raise TargetFault(SIGSEGV, code=2, address=fault.address)
-            finally:
-                cpu.icount += 1
-                if commit is not None and commit[0] != cpu._wrote_reg:
-                    reg, value = commit
-                    if not (reg == 0 and zero_reg):
-                        cpu.regs[reg] = value
-            if engine.generation != gen:
+                    reg = pending[0]
+                    if reg != cpu._wrote_reg and not (reg == 0 and zero_reg):
+                        cpu.regs[reg] = pending[1]
+            if writer and engine.generation != gen:
                 raise _Invalidated
         return step
 
@@ -341,6 +301,11 @@ class BlockEngine(ExecutionEngine):
         gen = self.generation
         steps: List[Callable] = []
         fault: Optional[Tuple[int, int, int]] = None
+        loads = frozenset(arch.loads())
+        # a load may be pending on entry: from the block before, or a
+        # restored state
+        commit = arch.has_load_delay
+        observed = 0
         addr = pc
         while len(steps) < self.MAX_BLOCK:
             try:
@@ -351,13 +316,21 @@ class BlockEngine(ExecutionEngine):
             except TargetFault as exc:
                 fault = (exc.signo, exc.code, exc.address)
                 break
+            index = len(steps)
             body = arch.compile_insn(insn, addr)
+            observer = body is None or insn.op == "syscall"
             if body is None:
                 body = _generic_body(arch.execute, insn)
                 writer = True  # unknown semantics: stay conservative
             else:
                 writer = arch.may_write_mem(insn)
-            steps.append(self._wrap(body, writer, gen))
+            if observer:
+                body = self._wrap(body, gen, writer, commit, index - observed)
+                observed = index
+            elif commit or writer:
+                body = self._wrap(body, gen, writer, commit, None)
+            steps.append(body)
+            commit = insn.op in loads
             addr += insn.size
             if arch.is_block_end(insn):
                 break
@@ -374,7 +347,7 @@ class BlockEngine(ExecutionEngine):
             # (e.g. self-modifying code repairing an illegal opcode)
             # must invalidate this block too.
             size = min(16, self.mem.size - pc) if pc < self.mem.size else 0
-        block = _Block(gen, steps, fault, pc, size)
+        block = _Block(steps, fault, pc, size)
         if size > 0:
             self._code_marks[pc:pc + size] = b"\x01" * size
             if pc < self._marks_lo:
@@ -386,20 +359,24 @@ class BlockEngine(ExecutionEngine):
     # -- dispatch ---------------------------------------------------------
 
     def run(self, cpu, stop: StopSpec) -> int:
-        remaining = stop.max_steps
+        # one bound for both stop conditions: the icount the run ends at
+        # (the runaway guard wins a tie, as in the step loop)
+        runaway = cpu.icount + stop.max_steps
         target = stop.stop_at_icount
+        limit = runaway if target is None else min(target, runaway)
         blocks = self._blocks
         stats = self.stats
         try:
-            while remaining > 0:
+            while True:
                 icount = cpu.icount
-                if target is not None and icount >= target:
-                    raise IcountReached(icount, cpu.pc)
+                left = limit - icount
+                if left <= 0:
+                    break
                 pc = cpu.pc
+                # invalidation empties the cache: a cached block is current
                 block = blocks.get(pc)
-                if block is None or block.gen != self.generation:
-                    block = self._compile(pc)
-                    blocks[pc] = block
+                if block is None:
+                    block = blocks[pc] = self._compile(pc)
                     stats.compiled += 1
                 else:
                     stats.hits += 1
@@ -412,26 +389,39 @@ class BlockEngine(ExecutionEngine):
                     cpu._wrote_reg = None
                     signo, code, address = block.fault
                     raise TargetFault(signo, code=code, address=address)
-                count = len(steps)
-                if count > remaining:
-                    count = remaining
-                if target is not None:
-                    due = target - icount
-                    if count > due:
-                        count = due
+                final = len(steps) >= left
+                if final:
+                    # the run stops after instruction ``left``: run it
+                    # through Cpu.step itself, so the stop shows the
+                    # reference's _wrote_reg and pending load
+                    steps = steps[:left - 1]
+                it = iter(steps)
                 try:
-                    for fn in steps if count == len(steps) else steps[:count]:
+                    for fn in it:
                         fn(cpu)
                 except _Invalidated:
                     # a store inside the block clobbered decoded code;
                     # its instruction fully retired — resume from
                     # cpu.pc with freshly decoded bytes
-                    pass
-                # each wrapper bumps icount exactly once, so the delta
-                # is the number of retired instructions
-                remaining -= cpu.icount - icount
+                    cpu.icount = icount + len(steps) - it.__length_hint__()
+                except BaseException as exc:
+                    # the raising instruction still retires, and
+                    # Cpu.step leaves _wrote_reg clear after it (see
+                    # Arch.compile_insn)
+                    cpu.icount = icount + len(steps) - it.__length_hint__()
+                    cpu._wrote_reg = None
+                    if isinstance(exc, MemoryFault):
+                        raise TargetFault(SIGSEGV, code=2,
+                                          address=exc.address)
+                    raise
+                else:
+                    cpu.icount = icount + len(steps)
+                    if final:
+                        cpu.step()
         except Halt as halt:
             return halt.status
+        if icount < runaway:
+            raise IcountReached(icount, cpu.pc)
         raise TargetFault(SIGILL, code=99, address=cpu.pc)  # runaway
 
     # -- introspection ----------------------------------------------------

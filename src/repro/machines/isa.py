@@ -259,7 +259,10 @@ class Arch:
         in the same order, the same faults with the same addresses —
         and it must leave ``cpu.pc`` at the next instruction exactly as
         execute would.  The engine supplies the step prologue/epilogue
-        (pending-load commit, icount); bodies never touch those.
+        (pending-load commit, icount); bodies never touch those.  On a
+        target with a load delay, an instruction that can raise (body
+        or :meth:`execute`) must do so before it writes any register:
+        the engine leaves ``_wrote_reg`` clear at a fault.
         """
         return None
 

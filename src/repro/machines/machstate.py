@@ -268,6 +268,26 @@ def live_digest(process, planted, context_addr: int,
                    process.mem.byteorder, context_addr, context_size)
 
 
+def dead_reg_digests(process, planted, context_addr: int,
+                     context_size: int) -> List[int]:
+    """The live digest under every other ``_wrote_reg`` value, on a
+    target without a load delay (none on rmips/rmipsel).
+
+    There ``_wrote_reg`` is not state: nothing reads it between
+    instructions, and it reads None at every stop.  Recordings from
+    trees whose block engine left a stale value in it hashed that
+    value, so replay accepts those digests too."""
+    if process.arch.has_load_delay:
+        return []
+    cpu = process.cpu
+    image = bytearray(process.mem.bytes)  # normalized once, in place
+    return [_digest(cpu.regs, cpu.fregs, cpu.cc_lt, cpu.cc_eq, cpu.cc_ltu,
+                    cpu.icount, cpu._pending_load, reg, image,
+                    dict(planted or {}), process.mem.byteorder,
+                    context_addr, context_size)
+            for reg in range(len(cpu.regs))]
+
+
 def _digest(regs, fregs, cc_lt, cc_eq, cc_ltu, icount, pending_load,
             wrote_reg, image: bytearray, planted: Dict[int, bytes],
             byteorder: str, context_addr: int, context_size: int) -> int:

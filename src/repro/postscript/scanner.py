@@ -20,6 +20,7 @@ implementation.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Iterator, List, Optional, Union
 
 from .objects import Name, PSArray, PSError, String
@@ -226,36 +227,38 @@ class Scanner:
                     pieces.append(esc)  # \\, \(, \) and unknown escapes
 
 
+#: PostScript number syntax.  Python's int() and float() also take
+#: underscores, non-ASCII digits, "inf"/"nan" and "0x" prefixes, none
+#: of which PostScript has.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_REAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
 def _parse_number(text: str) -> Optional[Union[int, float]]:
     """Parse ``text`` as a PostScript number, or return None.
 
     Handles integers, reals, and radix numbers like ``16#000023d8``.
     """
-    if not text:
+    if not text or text[0] not in "0123456789+-." or not text.isascii():
         return None
-    first = text[0]
-    if not (first.isdigit() or first in "+-."):
-        return None
-    try:
-        return int(text, 10)
-    except ValueError:
-        pass
     if "#" in text:
         base_text, _, digits = text.partition("#")
-        try:
-            base = int(base_text, 10)
-        except ValueError:
+        if not base_text.isdigit():
             return None
+        base = int(base_text)
         if not 2 <= base <= 36 or not digits:
             return None
-        try:
-            return int(digits, base)
-        except ValueError:
+        # strip() leaves nothing only if every character is a digit
+        # of this base
+        if digits.lower().strip(_DIGITS[:base]):
             raise PSError("syntaxerror", "bad radix number %r" % text)
-    try:
+        return int(digits, base)
+    if text.isdigit() or _INTEGER.fullmatch(text):
+        return int(text)
+    if _REAL.fullmatch(text):
         return float(text)
-    except ValueError:
-        return None
+    return None
 
 
 class _Eof:

@@ -31,7 +31,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..machines import ExitEvent, IcountStopEvent, Process, get_arch
 from ..machines.core import core_from_process
 from ..machines.loader import Executable
-from ..machines.machstate import MachineState, live_digest
+from ..machines.machstate import (
+    MachineState,
+    dead_reg_digests,
+    live_digest,
+)
 from ..nub import protocol
 from ..nub.channel import ChannelClosed
 from ..nub.nub import nub_md_for
@@ -236,7 +240,9 @@ class ReplayTransport(Transport):
         actual = live_digest(self.process, self.planted, self.context_addr,
                              self._context_size)
         self.obs.metrics.inc("trace.replay.checks")
-        if actual != record.digest:
+        if actual != record.digest and record.digest not in dead_reg_digests(
+                self.process, self.planted, self.context_addr,
+                self._context_size):
             self.obs.metrics.inc("trace.replay.divergences")
             self.obs.tracer.warn("trace.divergence", icount=icount,
                                  expected=record.digest, actual=actual)

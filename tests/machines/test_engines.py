@@ -8,8 +8,6 @@ self-modifying stores.  These tests enforce that contract on every
 target architecture.
 """
 
-import warnings
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -29,7 +27,6 @@ from repro.machines import (
     get_arch,
     make_engine,
 )
-from repro.machines.cpu import Cpu
 from repro.machines.isa import Insn, Label
 
 from ..cc.helpers import ALL_ARCHES
@@ -53,6 +50,7 @@ def _snap(process, event):
         "fregs": list(cpu.fregs),
         "cc": (cpu.cc_lt, cpu.cc_eq, cpu.cc_ltu),
         "pending_load": cpu._pending_load,
+        "wrote_reg": cpu._wrote_reg,
         "mem": bytes(process.mem.bytes),
     }
 
@@ -157,6 +155,73 @@ class TestEquivalenceAllArches:
             for key in a:
                 assert a[key] == b[key], \
                     "stop %d: %s differs between engines" % (index, key)
+
+    @pytest.mark.parametrize("arch", ALL_ARCHES)
+    def test_stack_overflow_fault_is_identical(self, arch):
+        # the faulting push/call has already moved the stack pointer
+        source = ("int f(int n) { return f(n + 1) + 1; }\n"
+                  "int main(void) { return f(0); }\n")
+        exe = compile_and_link({"t.c": source}, arch, debug=True)
+        snaps = assert_equivalent(exe)
+        assert snaps[-1]["event"] == "FaultEvent"
+
+
+# -- what generic fallbacks and syscalls see mid-block ------------------------
+
+_OBSERVED = r"""
+int main(void) {
+    int i, q = 0;
+    double d = 1.0;
+    for (i = 1; i < 30; i++) {
+        q += (i * 7) / (i + 2);
+        d = d * 1.5 + i;
+        q += (int)d & 7;
+        printf("%d\n", q);
+    }
+    return q & 0xff;
+}
+"""
+
+
+class TestObservers:
+    """Instructions that run the arch's generic ``execute`` (floats,
+    some divisions) and syscalls may read ``cpu.icount`` and the
+    delay-slot bookkeeping mid-block; they must see exactly what
+    ``Cpu.step`` shows them."""
+
+    def _observe(self, exe, engine, monkeypatch):
+        seen = {}
+        arch = exe.arch
+        original = type(arch).execute
+
+        def execute(cpu, insn):
+            seen[cpu.icount] = (insn.op, cpu._wrote_reg, cpu._pending_load)
+            original(arch, cpu, insn)
+
+        monkeypatch.setattr(arch, "execute", execute, raising=False)
+        process = Process(exe, engine=engine)
+        handler = process.cpu.syscall_handler
+
+        def syscall(cpu, code):
+            seen[cpu.icount] = ("syscall", cpu._wrote_reg, cpu._pending_load)
+            handler(cpu, code)
+
+        process.cpu.syscall_handler = syscall
+        event = process.run_until_event()
+        process.cpu.pc = event.pc + exe.arch.noop_advance
+        assert isinstance(process.run_until_event(), ExitEvent)
+        monkeypatch.undo()
+        return seen
+
+    @pytest.mark.parametrize("arch", ALL_ARCHES)
+    def test_observers_see_step_state(self, arch, monkeypatch):
+        exe = compile_and_link({"t.c": _OBSERVED}, arch, debug=True)
+        stepped = self._observe(exe, "step", monkeypatch)
+        blocked = self._observe(exe, "block", monkeypatch)
+        ops = {entry[0] for entry in blocked.values()}
+        assert "syscall" in ops and len(ops) > 2  # fallbacks ran too
+        for icount, entry in blocked.items():
+            assert stepped.get(icount) == entry, icount
 
 
 # -- hypothesis: random programs, random split points ------------------------
@@ -362,17 +427,3 @@ class TestStopSpec:
         with pytest.raises(TypeError):
             cpu.run(100)  # positional max_steps retired with the redesign
 
-
-class TestStepsAliasRetired:
-    def test_steps_warns_and_returns_icount(self):
-        exe = build("rmips", [Label("__start"), Insn("syscall", imm=1)])
-        cpu = Process(exe).cpu
-        Cpu._steps_warned = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cpu.steps == cpu.icount
-            assert cpu.steps == cpu.icount  # second read: no new warning
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "icount" in str(deprecations[0].message)

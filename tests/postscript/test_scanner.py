@@ -48,6 +48,18 @@ class TestNumbers:
         (obj,) = scan_all("1abc#")
         assert isinstance(obj, Name)
 
+    @pytest.mark.parametrize("text", ["1_000", "1_0.5", "\u0661\u0662",
+                                      "10#\u0661", "-inf", "+nan", "16#"])
+    def test_python_only_numerals_are_names(self, text):
+        # int()/float() accept these; PostScript does not
+        (obj,) = scan_all(text)
+        assert isinstance(obj, Name) and obj.text == text
+
+    @pytest.mark.parametrize("text", ["2#1_0", "16#0x1f"])
+    def test_python_only_radix_digits_raise(self, text):
+        with pytest.raises(PSError):
+            scan_all(text)
+
 
 class TestNames:
     def test_executable_name(self):
